@@ -16,11 +16,17 @@ single-partition scan.
 
 from __future__ import annotations
 
+from math import fsum, isfinite
+
 from repro.errors import ExecutionError
+from repro.sql.ordering import extreme_key
 
 # 2^1074 scales any finite double to an exact integer (as_integer_ratio
 # denominators are powers of two no larger than 2^1074)
 _FLOAT_SCALE = 1 << 1074
+
+_INT_ONLY = {int}
+_FLOAT_ONLY = {float}
 
 
 class _ExactSum:
@@ -98,6 +104,15 @@ class _ExactSum:
         AVG batch folds go through this single loop, so the exactness
         logic (and its inf/nan fallback) cannot diverge between them.
         """
+        if type(values) is list:
+            # one-type lists (the common gathered slice) fold at C speed
+            present = _present(values)
+            kinds = set(map(type, present))
+            if kinds == _INT_ONLY:
+                self.int_total += sum(present)
+                return len(present)
+            if kinds == _FLOAT_ONLY and _fold_float_mantissas(self, present):
+                return len(present)
         count = 0
         int_total = 0
         floats = False
@@ -400,14 +415,37 @@ class AvgAccumulator(Accumulator):
         return self._sum.averaged(self.count) if self.count else None
 
 
+def _pick_extreme(present: list, pick):
+    """``pick`` (builtin ``min``/``max``) of non-NULL values under the
+    ``extreme_key`` order.  One-type int/str lists, and float lists with no
+    NaN (a NaN-free float list has a non-NaN builtin sum), already order
+    totally under ``<``: they skip the key at C speed."""
+    kinds = set(map(type, present))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is int or kind is str:
+            return pick(present)
+        if kind is float and (total := sum(present)) == total:
+            return pick(present)
+    return pick(present, key=extreme_key)
+
+
 class MinAccumulator(Accumulator):
+    """MIN under ``extreme_key``: the result is independent of fold order
+    (mixed-type ties and NaN included), so partials merge exactly."""
+
     def __init__(self, distinct: bool = False):
         self.value = None
 
     def add(self, value):
         if value is None:
             return
-        if self.value is None or value < self.value:
+        current = self.value
+        # plain comparisons decide every strict pair; equal, NaN and
+        # uncomparable pairs fall through to the total order
+        if current is None or value < current or (
+                not value > current
+                and extreme_key(value) < extreme_key(current)):
             self.value = value
 
     def add_many(self, values):
@@ -417,26 +455,28 @@ class MinAccumulator(Accumulator):
         else:
             present = [v for v in values if v is not None]
         if present:
-            low = min(present)
-            if self.value is None or low < self.value:
-                self.value = low
+            self.add(_pick_extreme(present, min))
 
     def merge(self, sub: "MinAccumulator"):
-        if sub.value is not None:
-            self.add(sub.value)
+        self.add(sub.value)
 
     def result(self):
         return self.value
 
 
 class MaxAccumulator(Accumulator):
+    """MAX under ``extreme_key`` (see ``MinAccumulator``)."""
+
     def __init__(self, distinct: bool = False):
         self.value = None
 
     def add(self, value):
         if value is None:
             return
-        if self.value is None or value > self.value:
+        current = self.value
+        if current is None or value > current or (
+                not value < current
+                and extreme_key(value) > extreme_key(current)):
             self.value = value
 
     def add_many(self, values):
@@ -446,13 +486,10 @@ class MaxAccumulator(Accumulator):
         else:
             present = [v for v in values if v is not None]
         if present:
-            high = max(present)
-            if self.value is None or high > self.value:
-                self.value = high
+            self.add(_pick_extreme(present, max))
 
     def merge(self, sub: "MaxAccumulator"):
-        if sub.value is not None:
-            self.add(sub.value)
+        self.add(sub.value)
 
     def result(self):
         return self.value
@@ -475,6 +512,86 @@ def make_accumulator(name: str, count_star: bool = False,
         return AGGREGATES[name](distinct)
     except KeyError:
         raise ExecutionError(f"unknown aggregate function {name!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# one-shot finalisers: the result an accumulator would return after
+# ``add_many(values)``, computed once per group from its collected values
+# ---------------------------------------------------------------------------
+
+def _present(values: list) -> list:
+    return values if None not in values \
+        else [v for v in values if v is not None]
+
+
+def _sum_of(values: list):
+    """Exact SUM.  ``math.fsum`` is correctly rounded, so on finite floats
+    it equals ``_ExactSum``'s single rounding (``+ 0.0`` maps its ``-0.0``
+    to the exact sum's ``0.0``); ints, mixed types, non-finite values and
+    fsum's intermediate overflow take ``_ExactSum`` itself."""
+    present = _present(values)
+    if not present:
+        return None
+    kinds = set(map(type, present))
+    if kinds == _INT_ONLY:
+        return sum(present)
+    if kinds == _FLOAT_ONLY:
+        try:
+            total = fsum(present)
+        except (OverflowError, ValueError):
+            total = None
+        if total is not None and isfinite(total):
+            return total + 0.0
+    exact = _ExactSum()
+    exact.fold_values(present)
+    return exact.value()
+
+
+def _avg_of(values: list):
+    """Exact AVG: one correctly rounded division of the exact total (an
+    int total divides by the count directly, which rounds identically)."""
+    present = _present(values)
+    if not present:
+        return None
+    if set(map(type, present)) == _INT_ONLY:
+        return sum(present) / len(present)
+    exact = _ExactSum()
+    exact.fold_values(present)
+    return exact.averaged(len(present))
+
+
+def _min_of(values: list):
+    present = _present(values)
+    return _pick_extreme(present, min) if present else None
+
+
+def _max_of(values: list):
+    present = _present(values)
+    return _pick_extreme(present, max) if present else None
+
+
+def _count_of(values: list) -> int:
+    return len(values) - values.count(None)
+
+
+_FINALISERS = {"SUM": _sum_of, "AVG": _avg_of, "MIN": _min_of,
+               "MAX": _max_of, "COUNT": _count_of}
+
+
+def make_finaliser(name: str, count_star: bool = False,
+                   distinct: bool = False):
+    """``fn(values) -> result`` for one group's collected argument values
+    (``COUNT(*)`` collects a row count instead), equal to folding them
+    into ``make_accumulator(name, count_star, distinct)``."""
+    if count_star:
+        return int
+    if distinct or name not in _FINALISERS:
+        def fold(values):
+            acc = make_accumulator(name, count_star, distinct)
+            acc.add_many(values)
+            return acc.result()
+        return fold
+    return _FINALISERS[name]
 
 
 def sql_abs(value):

@@ -11,6 +11,10 @@ One total order over the SQL value domain is load-bearing in three places:
 * the merge-on-read scan and the sort-elision operator compare the same
   canonical keys when interleaving delta rows and partition streams.
 
+A fourth order, ``extreme_key``, decides MIN/MAX: it makes the result a
+pure function of the input multiset even where plain ``<`` cannot (equal
+values of different numeric types, NaN).
+
 Keeping the helpers in one module guarantees all three agree: wherever
 ``_sort_key`` comparison is defined (NULLs first, then value), the
 canonical key orders identically — it only *extends* that order to pairs
@@ -53,3 +57,16 @@ def canonical_row_key(row: tuple):
 def canonical_key_of(values, positions) -> tuple:
     """Canonical key tuple of ``values`` restricted to ``positions``."""
     return tuple(canonical_value_key(values[p]) for p in positions)
+
+
+def extreme_key(value):
+    """MIN/MAX order over non-NULL values: a total order on numbers.
+
+    Plain ``<`` leaves two cases to fold order: equal values of different
+    types (``50`` and ``50.0``) and NaN, which compares false with
+    everything.  This key orders NaN above every other number (MIN skips
+    it unless nothing else is present, MAX returns it) and breaks equal
+    values by type name (``50.0`` below ``50``).  Elsewhere it orders
+    exactly like ``<`` and, like it, raises on uncomparable types.
+    """
+    return (value != value, value, type(value).__name__)

@@ -494,18 +494,26 @@ class _TopNKey:
     Compares exactly like the planner's successive sorts: component ``i``
     ascending unless ``descs[i]``, NULLs first ascending / last descending
     (the order ``reverse=True`` over ``_sort_key`` produces), ties broken
-    by the canonical row key (always ascending).
+    by the canonical row key (always ascending).  The canonical key is
+    built only when two keys tie, so a heap over distinct sort keys never
+    pays for it.
     """
 
-    __slots__ = ("keys", "descs", "tie")
+    __slots__ = ("keys", "descs", "row", "_tie")
 
-    def __init__(self, keys: tuple, descs: tuple, tie: tuple):
+    def __init__(self, keys: tuple, descs: tuple, row: tuple):
         self.keys = keys
         self.descs = descs
-        self.tie = tie
+        self.row = row
+        self._tie = None
+
+    def tie(self) -> tuple:
+        if self._tie is None:
+            self._tie = _canonical_row_key(self.row)
+        return self._tie
 
     def __eq__(self, other):
-        return self.keys == other.keys and self.tie == other.tie
+        return self.keys == other.keys and self.tie() == other.tie()
 
     def __lt__(self, other):
         for mine, theirs, descending in zip(self.keys, other.keys,
@@ -513,7 +521,7 @@ class _TopNKey:
             if mine == theirs:
                 continue
             return (theirs < mine) if descending else (mine < theirs)
-        return self.tie < other.tie
+        return self.tie() < other.tie()
 
 
 class TopN(PlanNode):
@@ -545,8 +553,7 @@ class TopN(PlanNode):
         top = heapq.nsmallest(
             self.limit, counted(),
             key=lambda row: _TopNKey(
-                tuple(_sort_key(fn(row, ctx)) for fn in fns), descs,
-                _canonical_row_key(row)),
+                tuple(_sort_key(fn(row, ctx)) for fn in fns), descs, row),
         )
         ctx.stats.sort_rows += count
         yield from top

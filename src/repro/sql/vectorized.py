@@ -29,7 +29,12 @@ from bisect import bisect_right
 from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.expressions import Schema, _null_safe_binop, compile_expr
-from repro.sql.functions import SCALARS, like_to_predicate, make_accumulator
+from repro.sql.functions import (
+    SCALARS,
+    like_to_predicate,
+    make_accumulator,
+    make_finaliser,
+)
 from repro.sql.ordering import canonical_value_key
 from repro.sql.result import Batch, SegmentBatch
 from repro.storage.columnstore import (
@@ -581,14 +586,14 @@ class _LazyColumn:
 class _ColumnSpan:
     """A zero-copy view of rows ``[start, stop)`` of one batch column.
 
-    Run-grouped aggregation (``BatchAggregate._fold_runs``) folds every
-    RLE run of the group-key column as one bulk ``add_many`` over this
-    view of each aggregate-argument column.  The view forwards the
-    accumulator fast-path hooks — ``contiguous_source`` exposes the
-    underlying typed array's dense range, so SUM/AVG fold precomputed
-    block partials or one builtin ``sum`` — and falls back to per-value
-    iteration otherwise, keeping the arithmetic bit-identical to the
-    per-row path.
+    The grouped-fold kernel (``BatchAggregate._fold_ranges``) folds each
+    row range of a group — an RLE run of the key column — as one bulk
+    ``add_many`` over this view of each argument column.  The view
+    forwards the accumulator fast-path hooks — ``contiguous_source``
+    exposes the underlying typed array's dense range, so SUM/AVG fold
+    precomputed block partials or one builtin ``sum`` — and falls back to
+    per-value iteration otherwise, keeping the arithmetic bit-identical
+    to the per-row path.
     """
 
     __slots__ = ("_column", "_start", "_stop")
@@ -1321,10 +1326,23 @@ class VHashJoin(VectorNode):
                     bucket.append(row)
         return code_table, value_table
 
+    def _joined(self, batch, out_left: list, out_right: list, ctx) -> Batch:
+        """Output batch: the probe batch gathered at ``out_left`` (typed
+        gathers), then the matched build rows' columns."""
+        ctx.stats.rows_joined += len(out_left)
+        columns = [col.gather(out_left) if hasattr(col, "gather")
+                   else [col[i] for i in out_left]
+                   for col in batch.columns]
+        width = len(self.right.schema)
+        if out_right and width:
+            columns.extend(list(col) for col in zip(*out_right))
+        else:
+            columns.extend([] for _ in range(width))
+        return Batch(columns, len(out_left))
+
     def _probe_coded(self, batches, code_table: dict, value_table: dict,
                      probe_dict, ctx):
-        right_width = len(self.right.schema)
-        null_row = (None,) * right_width
+        null_row = (None,) * len(self.right.schema)
         position = self.code_key[0]
         left_join = self.kind == "LEFT"
         lookup = probe_dict.lookup
@@ -1394,17 +1412,8 @@ class VHashJoin(VectorNode):
                     elif left_join:
                         out_left.append(i)
                         out_right.append(null_row)
-            if not out_left:
-                continue
-            ctx.stats.rows_joined += len(out_left)
-            columns = [col.gather(out_left) if hasattr(col, "gather")
-                       else [col[i] for i in out_left]
-                       for col in batch.columns]
-            if out_right and right_width:
-                columns.extend(list(col) for col in zip(*out_right))
-            else:
-                columns.extend([] for _ in range(right_width))
-            yield Batch(columns, len(out_left))
+            if out_left:
+                yield self._joined(batch, out_left, out_right, ctx)
 
     def _build(self, ctx) -> dict:
         build: dict = {}
@@ -1416,8 +1425,7 @@ class VHashJoin(VectorNode):
         return build
 
     def _probe(self, batches, build: dict, ctx):
-        right_width = len(self.right.schema)
-        null_row = (None,) * right_width
+        null_row = (None,) * len(self.right.schema)
         for batch in batches:
             key_cols = [fn(batch, ctx) for fn in self.left_fns]
             out_left: list[int] = []
@@ -1431,15 +1439,8 @@ class VHashJoin(VectorNode):
                 elif self.kind == "LEFT":
                     out_left.append(i)
                     out_right.append(null_row)
-            if not out_left:
-                continue
-            ctx.stats.rows_joined += len(out_left)
-            columns = [[col[i] for i in out_left] for col in batch.columns]
-            if out_right and right_width:
-                columns.extend(list(col) for col in zip(*out_right))
-            else:
-                columns.extend([] for _ in range(right_width))
-            yield Batch(columns, len(out_left))
+            if out_left:
+                yield self._joined(batch, out_left, out_right, ctx)
 
     def execute_batches(self, ctx):
         ctx.stats.join_ops += 1
@@ -1519,30 +1520,125 @@ class BatchRows:
         return [self.child]
 
 
+class _GroupState:
+    """One partial aggregate: a group index plus per-group column state.
+
+    ``index`` maps each group key to its dense group id in creation order
+    (first-encounter scan order, which is also emission order).  Each
+    aggregate keeps one state column indexed by group id: ``pending[j]``
+    holds a group's collected argument values (its row count for
+    ``COUNT(*)``), and ``accs[gid]`` holds accumulators only for groups
+    that took a bulk ``add_many`` fold, absorbed a cached or partial
+    aggregate, or were folded per value.  Emission finalises every group
+    exactly once.
+    """
+
+    __slots__ = ("specs", "index", "accs", "pending", "slots")
+
+    def __init__(self, specs):
+        self.specs = specs
+        self.index: dict = {}
+        self.accs: list = []
+        self.pending = [[] for _ in specs]
+        # id(table dictionary) -> {global code slot: group id}
+        self.slots: dict = {}
+
+    def grow(self):
+        """Extend the state columns to every group the index holds."""
+        missing = len(self.index) - len(self.accs)
+        self.accs.extend([None] * missing)
+        for spec, column in zip(self.specs, self.pending):
+            if spec.arg_fn is None:
+                column.extend([0] * missing)
+            else:
+                column.extend([] for _ in range(missing))
+
+    def group(self, key) -> int:
+        gid = self.index.get(key)
+        if gid is None:
+            gid = self.index[key] = len(self.index)
+            self.grow()
+        return gid
+
+    def accumulators(self, gid: int) -> list:
+        accs = self.accs[gid]
+        if accs is None:
+            accs = self.accs[gid] = [
+                make_accumulator(s.name, s.arg_fn is None, s.distinct)
+                for s in self.specs]
+        return accs
+
+    def _folded(self, gid: int) -> list:
+        """The group's accumulators with its collected values folded in."""
+        accs = self.accumulators(gid)
+        for acc, spec, column in zip(accs, self.specs, self.pending):
+            values = column[gid]
+            if values:
+                acc.add_many(range(values) if spec.arg_fn is None
+                             else values)
+        return accs
+
+    def to_accumulators(self) -> dict:
+        """``{key: accumulators}`` (for a sketch store or a partial merge)."""
+        return {key: self._folded(gid) for key, gid in self.index.items()}
+
+    def absorb(self, partial: dict):
+        """Merge ``{key: accumulators}`` in its insertion order.  The
+        accumulators may be cached and shared, so they are merged into
+        this state's own, never installed."""
+        for key, accs in partial.items():
+            for acc, sub in zip(self.accumulators(self.group(key)), accs):
+                acc.merge(sub)
+
+    def rows(self):
+        """Emission: one output row per group, in creation order."""
+        columns = [list(map(make_finaliser(s.name, s.arg_fn is None,
+                                           s.distinct), pending))
+                   for s, pending in zip(self.specs, self.pending)]
+        for gid, accs in enumerate(self.accs):
+            if accs is not None:
+                for column, acc in zip(columns, self._folded(gid)):
+                    column[gid] = acc.result()
+        for key, *results in zip(self.index, *columns):
+            yield key + tuple(results)
+
+
 class BatchAggregate:
     """Hash aggregation consuming batches, emitting one row per group.
 
     The schema mirrors the row pipeline's ``Aggregate`` (``__G*``/``__A*``),
-    so the planner's above-aggregate rewrite applies unchanged.  Grouping
-    keys and aggregate arguments are evaluated column-at-a-time; the global
-    (no GROUP BY) case folds whole column slices into the accumulators.
+    so the planner's above-aggregate rewrite applies unchanged.
+
+    **One grouped-fold kernel.**  Each batch folds in two steps:
+
+    1. *Group ids*, from whichever source the key offers: RLE runs of a
+       plain key column become ``(group, start, stop)`` ranges; a key in
+       a table-level dictionary maps each distinct code to a group once,
+       through a slot map persisted across the partial's batches; any
+       other key (multi-column, computed, join output) goes through a
+       key-tuple index: new keys enter in first-encounter order, then
+       one C-level lookup per row.
+    2. *Per-group state*: ranges, and batches touching at most
+       ``BULK_DISTINCT`` groups, fold each group's slice of every argument
+       column in one bulk ``add_many`` (typed-array slices at C speed);
+       batches touching more groups append each argument value to its
+       group's value column, and emission finalises each group once
+       (``make_finaliser``).
+
+    Group creation order is first-encounter scan order and every fold is
+    exact and order-insensitive, so results match the row pipeline's
+    per-value ``Aggregate`` byte for byte.  A key column that is only
+    dictionary-encoded per segment keeps its per-value fold
+    (``_fold_coded``), the measured baseline of the shared dictionaries.
 
     This operator is the *gather* half of the scatter-gather plan: each
-    partition stream of the child is folded into its own partial aggregate,
-    and the partials are merged in partition order.  Accumulators are
-    order-insensitive and mergeable, so the merged result is bit-identical
-    to aggregating one concatenated stream — and to the row pipeline.
-
-    **Encoded group-by**: when the single grouping key is a plain column
-    of the scan (``group_positions``), batches whose key column is
-    run-length encoded group run-at-a-time — one group lookup per run,
-    bulk ``add_many`` folds over each argument's run span — and batches
-    whose key column is dictionary-encoded group by the integer DICT
-    *codes* (one accumulator slot per dictionary code, decoding only the
-    surviving group keys).  Group creation order is first-encounter scan
-    order, identical to the generic value path, so results (and emission
-    order) do not change.
+    partition stream of the child folds into its own partial, and the
+    partials merge in partition order.  Whole sealed segments fold
+    through the replica's sketch cache (see ``_fold``).
     """
+
+    #: most groups one batch may touch and still fold by bulk ``add_many``
+    BULK_DISTINCT = 24
 
     def __init__(self, child: VectorNode, group_fns, agg_specs,
                  group_positions: list | None = None, sketch_key=None):
@@ -1561,144 +1657,86 @@ class BatchAggregate:
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
 
-    def _make_accs(self):
-        return [make_accumulator(s.name, s.arg_fn is None, s.distinct)
-                for s in self.agg_specs]
+    @staticmethod
+    def _fold_ranges(state: _GroupState, arg_cols, ranges, n: int):
+        """Fold ``(group, start, stop)`` row ranges by bulk ``add_many``
+        over zero-copy span views (RLE arguments keep their runs)."""
+        span_types = [None if col is None or isinstance(col, list)
+                      else _RunSpan if isinstance(col, RLEColumn)
+                      else _ColumnSpan for col in arg_cols]
+        for gid, start, stop in ranges:
+            whole = start == 0 and stop == n
+            for acc, col, span in zip(state.accumulators(gid), arg_cols,
+                                      span_types):
+                if col is None:                       # COUNT(*)
+                    acc.add_many(range(stop - start))
+                elif whole:
+                    acc.add_many(col)
+                elif span is None:                    # computed: a list
+                    acc.add_many(col[start:stop])
+                else:
+                    acc.add_many(span(col, start, stop))
 
-    def _fold_runs(self, batch, ctx, groups: dict, arg_cols,
-                   position: int) -> bool:
-        """Group one batch by the RLE runs of its key column.
-
-        Whole-segment batches whose grouping key is run-length encoded
-        fold run-at-a-time: one group lookup per run, then each
-        aggregate argument folds the run's span in one bulk ``add_many``
-        (typed-array spans hit the accumulators' C-speed exact folds)
-        instead of a per-row ``add``.  Group creation order is run order
-        = scan order, and the accumulators' batch folds are exact, so
-        results are bit-identical to the generic value path.  Returns
-        False when the key column carries no runs — the caller tries
-        dictionary codes, then the generic path.
-        """
-        column = batch.columns[position]
-        runs_source = getattr(column, "iter_runs", None)
-        if runs_source is None or len(column) != len(batch):
-            return False
-        # pick each argument's span shape once per batch
-        span_types = []
-        for col in arg_cols:
-            if col is None or isinstance(col, list):
-                span_types.append(None)
-            elif isinstance(col, RLEColumn):
-                span_types.append(_RunSpan)
+    def _fold_gids(self, state: _GroupState, arg_cols, gids: list):
+        """Fold one batch given its group-id vector."""
+        distinct = dict.fromkeys(gids)
+        if len(distinct) == 1:
+            self._fold_ranges(state, arg_cols,
+                              [(gids[0], 0, len(gids))], len(gids))
+            return
+        if len(distinct) <= self.BULK_DISTINCT:
+            # one bucketing pass, then typed gathers per group
+            buckets = {gid: [] for gid in distinct}
+            appends = {gid: bucket.append for gid, bucket in buckets.items()}
+            for i, gid in enumerate(gids):
+                appends[gid](i)
+            for gid, sel in buckets.items():
+                for acc, col in zip(state.accumulators(gid), arg_cols):
+                    if col is None:
+                        acc.add_many(sel)
+                    elif hasattr(col, "gather"):
+                        acc.add_many(col.gather(sel))
+                    else:
+                        acc.add_many([col[i] for i in sel])
+            return
+        for column, col in zip(state.pending, arg_cols):
+            if col is None:
+                for gid in gids:
+                    column[gid] += 1
             else:
-                span_types.append(_ColumnSpan)
-        offset = 0
-        for value, length in runs_source():
-            key = (value,)
-            accs = groups.get(key)
-            if accs is None:
-                accs = self._make_accs()
-                groups[key] = accs
-            stop = offset + length
-            for acc, col, span_type in zip(accs, arg_cols, span_types):
-                if span_type is not None:
-                    acc.add_many(span_type(col, offset, stop))
-                elif col is None:                 # COUNT(*): length suffices
-                    acc.add_many(range(length))
-                else:                             # computed argument: a list
-                    acc.add_many(col[offset:stop])
-            offset = stop
-        ctx.stats.groups_coded += 1
-        return True
+                for gid, value in zip(gids, col):
+                    column[gid].append(value)
 
-    #: distinct-code bound below which per-code C-speed comprehensions
-    #: beat a single-pass python bucket build
-    BULK_DISTINCT = 24
-
-    def _fold_global_coded(self, batch, ctx, groups: dict, arg_cols,
-                           position: int, slot_state: dict) -> bool:
-        """Group one batch against the table-level accumulator array.
-
-        Batches whose key column lives in a shared (table-level)
-        dictionary fold into ONE code-indexed slot array persisted across
-        every batch of this partial — no per-segment slot rebuild, no
-        per-segment group lookup.  Rows bucket by *local* code (per-code
-        C-speed selections for few distincts, one insertion-ordered pass
-        otherwise) and each bucket folds its aggregate arguments in bulk
-        ``add_many`` calls; only the distinct codes translate through the
-        segment's remap.  Group creation order is first-encounter scan
-        order and the accumulators are exact/order-insensitive, so results
-        are bit-identical to the generic value path.  Returns False when
-        the key column has no shared dictionary.
-        """
-        column = batch.columns[position]
+    @staticmethod
+    def _shared_gids(column, ctx, state: _GroupState) -> list | None:
+        """Group ids of a key column in a table-level dictionary: each
+        distinct code (in first-encounter order) resolves to a group once,
+        through the partial's persisted global-code slot map.  ``None``
+        when the column has no shared dictionary."""
         source = getattr(column, "shared_codes", None)
         if source is None:
-            return False
+            return None
         found = source(ctx.stats)
-        if found is None or len(column) != len(batch):
-            return False
+        if found is None:
+            return None
         codes, to_global, shared, values = found
-        slots = slot_state.get(id(shared))
-        if slots is None:
-            slots = slot_state[id(shared)] = []
-        n = len(codes)
-        # distinct codes actually present (includes -1 when NULLs exist);
-        # one C-level pass, bounding all per-code work below
-        distinct = set(codes)
-        if len(distinct) <= self.BULK_DISTINCT:
-            # per-code C-speed selections, replayed in first-encounter
-            # order so group creation matches the generic value path
-            buckets = sorted(
-                (sel[0], code, sel) for code in distinct
-                if (sel := [i for i, c in enumerate(codes) if c == code]))
-            ordered = [(code, sel) for _first, code, sel in buckets]
-        else:
-            # many distincts: one insertion-ordered bucket pass
-            grouped: dict = {}
-            for i, code in enumerate(codes):
-                bucket = grouped.get(code)
-                if bucket is None:
-                    grouped[code] = [i]
-                else:
-                    bucket.append(i)
-            ordered = list(grouped.items())
-        for code, sel in ordered:
-            if code < 0:
-                slot = 0                              # the NULL key slot
-            else:
-                gcode = code if to_global is None else to_global[code]
-                slot = gcode + 1
-            if slot >= len(slots):
-                slots.extend([None] * (slot + 1 - len(slots)))
-            accs = slots[slot]
-            if accs is None:
-                key = (None,) if code < 0 else (values[code],)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = self._make_accs()
-                    groups[key] = accs
-                slots[slot] = accs
-            full = len(sel) == n
-            for acc, col in zip(accs, arg_cols):
-                if col is None:                       # COUNT(*)
-                    acc.add_many(range(len(sel)))
-                elif full:
-                    acc.add_many(col)
-                elif hasattr(col, "gather"):
-                    acc.add_many(col.gather(sel))
-                else:
-                    acc.add_many([col[i] for i in sel])
-        ctx.stats.groups_global_coded += 1
-        return True
+        slots = state.slots.setdefault(id(shared), {})
+        lookup = {}
+        for code in dict.fromkeys(codes):
+            slot = -1 if code < 0 else \
+                code if to_global is None else to_global[code]
+            gid = slots.get(slot)
+            if gid is None:
+                gid = slots[slot] = state.group(
+                    (None,) if code < 0 else (values[code],))
+            lookup[code] = gid
+        return list(map(lookup.__getitem__, codes))
 
-    def _fold_coded(self, batch, ctx, groups: dict, arg_cols,
+    def _fold_coded(self, batch, ctx, state: _GroupState, arg_cols,
                     position: int) -> bool:
-        """Group one batch by dictionary codes (code-indexed slots).
-
-        Returns False when the key column carries no dictionary — the
-        caller falls back to the generic value path for this batch.
-        """
+        """Group one batch by per-segment dictionary codes, folding per
+        value into code-indexed accumulator slots; False when the key
+        column carries no dictionary."""
         column = batch.columns[position]
         source = getattr(column, "dict_codes", None)
         if source is None:
@@ -1713,51 +1751,49 @@ class BatchAggregate:
             accs = slots[code]
             if accs is None:
                 key = (None,) if code < 0 else (dictionary[code],)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = self._make_accs()
-                    groups[key] = accs
-                slots[code] = accs
+                accs = slots[code] = state.accumulators(state.group(key))
             for acc, col in zip(accs, arg_cols):
                 acc.add(1 if col is None else col[i])
         ctx.stats.groups_coded += 1
         return True
 
-    def _fold_batch(self, batch, ctx, groups: dict, arg_cols,
-                    slot_state: dict):
-        """Fold one batch into ``groups`` through the exact cascade."""
+    def _fold_batch(self, batch, ctx, state: _GroupState):
+        """Fold one batch into ``state`` (the one grouped-fold kernel)."""
         n = len(batch)
+        arg_cols = [None if s.arg_fn is None else s.arg_fn(batch, ctx)
+                    for s in self.agg_specs]
         if not self.group_fns:
-            accs = groups.get(())
-            if accs is None:
-                accs = self._make_accs()
-                groups[()] = accs
-            for acc, col in zip(accs, arg_cols):
-                if col is None:
-                    acc.add_many([1] * n)
-                else:
-                    acc.add_many(col)
+            self._fold_ranges(state, arg_cols, [(state.group(()), 0, n)], n)
             return
         positions = self.group_positions
-        coded_position = (positions[0]
-                          if positions is not None and len(positions) == 1
-                          and positions[0] is not None else None)
-        if coded_position is not None and (
-                self._fold_runs(batch, ctx, groups, arg_cols,
-                                coded_position)
-                or self._fold_global_coded(batch, ctx, groups, arg_cols,
-                                           coded_position, slot_state)
-                or self._fold_coded(batch, ctx, groups, arg_cols,
-                                    coded_position)):
-            return
-        key_cols = [fn(batch, ctx) for fn in self.group_fns]
-        for i, key in enumerate(zip(*key_cols)):
-            accs = groups.get(key)
-            if accs is None:
-                accs = self._make_accs()
-                groups[key] = accs
-            for acc, col in zip(accs, arg_cols):
-                acc.add(1 if col is None else col[i])
+        if positions is not None and len(positions) == 1 \
+                and positions[0] is not None:
+            column = batch.columns[positions[0]]
+            runs = getattr(column, "iter_runs", None)
+            if runs is not None and len(column) == n:
+                ranges = []
+                offset = 0
+                for value, length in runs():
+                    ranges.append((state.group((value,)), offset,
+                                   offset + length))
+                    offset += length
+                self._fold_ranges(state, arg_cols, ranges, n)
+                ctx.stats.groups_coded += 1
+                return
+            if len(column) == n and (
+                    gids := self._shared_gids(column, ctx, state)) is not None:
+                self._fold_gids(state, arg_cols, gids)
+                ctx.stats.groups_global_coded += 1
+                return
+            if self._fold_coded(batch, ctx, state, arg_cols, positions[0]):
+                return
+        keys = list(zip(*[fn(batch, ctx) for fn in self.group_fns]))
+        index = state.index
+        new = [key for key in dict.fromkeys(keys) if key not in index]
+        if new:
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+            state.grow()
+        self._fold_gids(state, arg_cols, list(map(index.__getitem__, keys)))
 
     def _sketch_nbytes(self, partial: dict) -> int:
         """Deterministic LRU-budget estimate of one cached partial
@@ -1765,42 +1801,21 @@ class BatchAggregate:
         per_group = 120 + 160 * len(self.agg_specs)
         return 256 + per_group * len(partial)
 
-    def _merge_sketch(self, groups: dict, cached: dict):
-        """Merge one cached segment partial into this fold's groups.
-
-        The cached accumulators are shared across statements, so they are
-        never installed into ``groups`` directly — missing groups get
-        fresh accumulators that the cached ones merge into.  Merge order
-        follows the cached dict's insertion order, which is the segment's
-        first-encounter row order: group creation order (and therefore
-        emission order) is identical to folding the rows directly, and the
-        accumulators' exact order-insensitive ``merge`` keeps the values
-        bit-identical too.
-        """
-        for key, accs in cached.items():
-            merged = groups.get(key)
-            if merged is None:
-                merged = groups[key] = self._make_accs()
-            for acc, sub in zip(merged, accs):
-                acc.merge(sub)
-
-    def _fold(self, batches, ctx, groups: dict):
-        """Fold one batch stream into ``groups`` (a partial aggregate).
+    def _fold(self, batches, ctx, state: _GroupState):
+        """Fold one batch stream into ``state`` (a partial aggregate).
 
         ``SegmentBatch``es (whole sealed segments with no surviving
         predicate) fold through the replica's sketch cache: a hit merges
         the cached partial in O(groups) instead of O(rows); a miss folds
-        the segment once into a private partial, caches it, then merges —
-        so the statement that builds a sketch pays the same row work as
-        before and every later statement elides it.
+        the segment once through the same kernel into a private partial,
+        caches its accumulators, then merges them — so the statement that
+        builds a sketch pays the same row work as before and every later
+        statement elides it.  Merging follows the partial's group creation
+        order, so emission order is unchanged.
         """
-        specs = self.agg_specs
         sketch_key = self.sketch_key
         sketches = (getattr(ctx.columnar, "sketches", None)
                     if sketch_key is not None else None)
-        # shared-dictionary slot arrays persisted across every batch of
-        # this partial (one per table dictionary encountered)
-        slot_state: dict = {}
         rows = 0
         for batch in batches:
             n = len(batch)
@@ -1808,13 +1823,9 @@ class BatchAggregate:
                 segment = batch.segment
                 cached = sketches.lookup(segment, sketch_key)
                 if cached is None:
-                    # cold: fold into a private partial with private
-                    # slot state (its accs must never alias ``groups``),
-                    # cache it, and fall through to the merge below
-                    cached = {}
-                    arg_cols = [None if s.arg_fn is None
-                                else s.arg_fn(batch, ctx) for s in specs]
-                    self._fold_batch(batch, ctx, cached, arg_cols, {})
+                    private = _GroupState(self.agg_specs)
+                    self._fold_batch(batch, ctx, private)
+                    cached = private.to_accumulators()
                     sketches.store(segment, sketch_key, cached,
                                    self._sketch_nbytes(cached))
                     ctx.stats.sketches_built += 1
@@ -1822,67 +1833,46 @@ class BatchAggregate:
                 else:
                     ctx.stats.sketches_hit += 1
                     ctx.stats.sketch_rows_elided += n
-                self._merge_sketch(groups, cached)
+                state.absorb(cached)
                 continue
             rows += n
-            arg_cols = [None if s.arg_fn is None else s.arg_fn(batch, ctx)
-                        for s in specs]
-            self._fold_batch(batch, ctx, groups, arg_cols, slot_state)
+            self._fold_batch(batch, ctx, state)
         # agg_input_rows records physical fold work for the cost model:
         # rows elided by sketch hits are counted in sketch_rows_elided
         ctx.stats.agg_input_rows += rows
 
-    def _merge_partial(self, groups: dict, partial: dict):
-        for key, accs in partial.items():
-            merged = groups.get(key)
-            if merged is None:
-                groups[key] = accs
-            else:
-                for acc, sub in zip(merged, accs):
-                    acc.merge(sub)
+    def _folded_stream(self, batches, ctx) -> _GroupState:
+        state = _GroupState(self.agg_specs)
+        self._fold(batches, ctx, state)
+        return state
 
     def execute(self, ctx):
-        groups: dict = {}
-        partials = 0
-        pool = ctx.pool
-        if pool is not None:
+        streams = self.child.execute_partitions(ctx)
+        if ctx.pool is not None and len(streams := list(streams)) > 1:
             # scatter: fold each partition stream into a private partial
             # on a worker; gather merges the partials in partition order,
             # reproducing the sequential group-insertion order exactly
-            streams = list(self.child.execute_partitions(ctx))
-            partials = len(streams)
-            if partials > 1:
-                tasks = []
-                for pid, batches in streams:
-                    def fold(b=batches):
-                        partial: dict = {}
-                        self._fold(b, ctx, partial)
-                        return partial
-                    tasks.append((pid, fold))
-                for _pid, partial in pool.scatter_ordered(ctx, tasks):
-                    if not groups:
-                        groups = partial
-                        continue
-                    self._merge_partial(groups, partial)
-            elif partials == 1:
-                self._fold(streams[0][1], ctx, groups)
+            tasks = [(pid, lambda b=batches: self._folded_stream(b, ctx))
+                     for pid, batches in streams]
+            partials = (partial for _pid, partial
+                        in ctx.pool.scatter_ordered(ctx, tasks))
         else:
-            for _pid, batches in self.child.execute_partitions(ctx):
-                partials += 1
-                if not groups:
-                    # first (or only) stream folds straight into the result
-                    self._fold(batches, ctx, groups)
-                    continue
-                partial: dict = {}
-                self._fold(batches, ctx, partial)
-                self._merge_partial(groups, partial)
-        if partials > 1:
-            ctx.stats.partial_aggregates += partials
-        if not groups and not self.group_fns:
-            groups[()] = self._make_accs()
-        ctx.stats.groups += len(groups)
-        for key, accs in groups.items():
-            yield key + tuple(acc.result() for acc in accs)
+            partials = (self._folded_stream(batches, ctx)
+                        for _pid, batches in streams)
+        state = _GroupState(self.agg_specs)
+        count = 0
+        for partial in partials:
+            count += 1
+            if state.index:
+                state.absorb(partial.to_accumulators())
+            else:
+                state = partial
+        if count > 1:
+            ctx.stats.partial_aggregates += count
+        if not state.index and not self.group_fns:
+            state.group(())
+        ctx.stats.groups += len(state.index)
+        yield from state.rows()
 
     def children(self):
         return [self.child]

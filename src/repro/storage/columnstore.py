@@ -490,8 +490,11 @@ class NativeColumn:
     encoding = Encoding.NATIVE
     __slots__ = ("data", "nulls", "_float_blocks")
 
-    #: block width of the precomputed exact float partial sums
-    SUM_BLOCK = 512
+    #: block width of the precomputed exact float partial sums; narrow
+    #: enough that a group's RLE run in a partitioned segment (tens to
+    #: hundreds of rows) still covers whole blocks, since edge values
+    #: outside whole blocks are decomposed one by one
+    SUM_BLOCK = 64
 
     def __init__(self, data: array, nulls: frozenset):
         self.data = data
